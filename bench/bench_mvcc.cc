@@ -1,13 +1,14 @@
 // Experiment MVCC (DESIGN.md decision #10): browse throughput of the
-// lock-free snapshot SELECT path versus the seed's 2PL read path, under
-// a sweep of concurrent writers shaped like the travel mix's bookings:
-// multi-row transactions that hold their exclusive table locks across a
-// coordination window (an entangled booking parked mid-round) before
-// committing. That idle-held X lock is exactly what the paper's browse
-// traffic stalls behind: with num_versions = 1 the stack degrades to
-// seed 2PL semantics and every browse queues until the writer commits;
-// with num_versions > 1 the same SELECTs read a snapshot and never
-// block.
+// lock-free snapshot SELECT path versus a 2PL locked-read reference,
+// under a sweep of concurrent writers shaped like the travel mix's
+// bookings: multi-row transactions that hold their exclusive table locks
+// across a coordination window (an entangled booking parked mid-round)
+// before committing. That idle-held X lock is exactly what the paper's
+// browse traffic stalls behind. The 2PL leg takes an S table lock
+// around each browse — the same statement cost plus the lock wait a
+// locked read path pays — so every browse queues until the writer
+// commits; the MVCC leg issues the same SELECTs, which read a snapshot
+// and never block.
 //
 // Standalone driver (no google-benchmark) so it can emit its own
 // machine-readable summary: BENCH_mvcc.json (path overridable via
@@ -33,7 +34,6 @@ namespace {
 using namespace youtopia;  // NOLINT(build/namespaces) — bench driver
 
 constexpr int kReaders = 4;
-constexpr size_t kMvccVersions = 8;
 // Each write transaction touches a handful of rows and then holds its
 // locks across a simulated coordination round before committing — the
 // entangled-booking shape (install happens only once the whole group
@@ -42,8 +42,7 @@ constexpr int kRowsPerWriteTxn = 8;
 constexpr int kHoldUs = 10000;
 
 struct LegResult {
-  const char* mode = "";
-  size_t num_versions = 1;
+  bool locked_reads = false;
   size_t writers = 0;
   size_t reads = 0;
   size_t read_errors = 0;
@@ -53,10 +52,12 @@ struct LegResult {
   double updates_per_sec = 0.0;
 };
 
-std::unique_ptr<Youtopia> MakeDb(size_t num_versions, int rows) {
-  YoutopiaConfig config;
-  config.mvcc.num_versions = num_versions;
-  auto db = std::make_unique<Youtopia>(config);
+const char* Mode(const LegResult& leg) {
+  return leg.locked_reads ? "2pl" : "mvcc";
+}
+
+std::unique_ptr<Youtopia> MakeDb(int rows) {
+  auto db = std::make_unique<Youtopia>();
   if (!db->Execute("CREATE TABLE Inv (id INT, qty INT, price INT)").ok()) {
     std::abort();
   }
@@ -75,13 +76,15 @@ std::unique_ptr<Youtopia> MakeDb(size_t num_versions, int rows) {
 /// One fixed-duration leg: kReaders browse threads and `writers`
 /// booking-shaped write transactions (kRowsPerWriteTxn updates, then
 /// kHoldUs of lock-held coordination wait, then commit) against a fresh
-/// instance configured with `num_versions`. Reads that fail (lock
-/// timeouts under 2PL) count as errors, not throughput — the metric is
-/// *successful* browses per second, which is what a middle tier
-/// actually serves.
-LegResult RunLeg(size_t num_versions, size_t writers,
+/// instance. With `locked_reads` each browse holds an S lock on Inv
+/// under its own transaction id for the statement's duration (the 2PL
+/// reference); without, it is a plain snapshot SELECT. Reads that fail
+/// (lock timeouts under 2PL) count as errors, not throughput — the
+/// metric is *successful* browses per second, which is what a middle
+/// tier actually serves.
+LegResult RunLeg(bool locked_reads, size_t writers,
                  std::chrono::milliseconds leg, int rows) {
-  auto db = MakeDb(num_versions, rows);
+  auto db = MakeDb(rows);
   std::atomic<bool> stop{false};
   std::atomic<size_t> reads{0};
   std::atomic<size_t> read_errors{0};
@@ -100,7 +103,20 @@ LegResult RunLeg(size_t num_versions, size_t writers,
             static_cast<int64_t>((n++ * 13) % static_cast<size_t>(rows));
         const std::string sql =
             "SELECT id, qty FROM Inv WHERE id = " + std::to_string(id);
-        if (db->Execute(sql).ok()) {
+        bool ok = true;
+        TxnId reader = 0;
+        if (locked_reads) {
+          reader = db->txn_manager().Begin()->id();
+          ok = db->txn_manager()
+                   .lock_manager()
+                   .Acquire(reader, "Inv", LockMode::kShared)
+                   .ok();
+        }
+        ok = ok && db->Execute(sql).ok();
+        if (locked_reads) {
+          db->txn_manager().lock_manager().ReleaseAll(reader);
+        }
+        if (ok) {
           reads.fetch_add(1, std::memory_order_relaxed);
         } else {
           read_errors.fetch_add(1, std::memory_order_relaxed);
@@ -149,8 +165,7 @@ LegResult RunLeg(size_t num_versions, size_t writers,
           .count());
 
   LegResult result;
-  result.mode = num_versions > 1 ? "mvcc" : "2pl";
-  result.num_versions = num_versions;
+  result.locked_reads = locked_reads;
   result.writers = writers;
   result.reads = reads.load();
   result.read_errors = read_errors.load();
@@ -172,15 +187,15 @@ int main(int argc, char** argv) {
 
   const size_t writer_sweep[] = {0, 1, 2, 4};
   std::vector<LegResult> legs;
-  std::printf("%-6s %-10s %-8s %-9s %-12s %-9s %s\n", "mode", "versions",
-              "writers", "reads", "reads/s", "rd_errs", "write_txns/s");
+  std::printf("%-6s %-8s %-9s %-12s %-9s %s\n", "mode", "writers", "reads",
+              "reads/s", "rd_errs", "write_txns/s");
   for (size_t writers : writer_sweep) {
-    for (size_t num_versions : {size_t{1}, kMvccVersions}) {
-      LegResult leg = RunLeg(num_versions, writers,
+    for (bool locked_reads : {true, false}) {
+      LegResult leg = RunLeg(locked_reads, writers,
                              std::chrono::milliseconds(leg_ms), rows);
-      std::printf("%-6s %-10zu %-8zu %-9zu %-12.1f %-9zu %.1f\n", leg.mode,
-                  leg.num_versions, leg.writers, leg.reads, leg.reads_per_sec,
-                  leg.read_errors, leg.updates_per_sec);
+      std::printf("%-6s %-8zu %-9zu %-12.1f %-9zu %.1f\n", Mode(leg),
+                  leg.writers, leg.reads, leg.reads_per_sec, leg.read_errors,
+                  leg.updates_per_sec);
       legs.push_back(leg);
     }
   }
@@ -192,13 +207,13 @@ int main(int argc, char** argv) {
   const size_t headline_writers = writer_sweep[3];
   double two_pl = 0.0, mvcc = 0.0, mvcc_uncontended = 0.0;
   for (const LegResult& leg : legs) {
-    if (leg.writers == headline_writers && leg.num_versions == 1) {
+    if (leg.writers == headline_writers && leg.locked_reads) {
       two_pl = leg.reads_per_sec;
     }
-    if (leg.writers == headline_writers && leg.num_versions > 1) {
+    if (leg.writers == headline_writers && !leg.locked_reads) {
       mvcc = leg.reads_per_sec;
     }
-    if (leg.writers == 0 && leg.num_versions > 1) {
+    if (leg.writers == 0 && !leg.locked_reads) {
       mvcc_uncontended = leg.reads_per_sec;
     }
   }
@@ -223,11 +238,11 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < legs.size(); ++i) {
     const LegResult& leg = legs[i];
     std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"num_versions\": %zu, "
+                 "    {\"mode\": \"%s\", "
                  "\"writers\": %zu, \"reads\": %zu, \"read_errors\": %zu, "
                  "\"reads_per_sec\": %.1f, \"write_txns\": %zu, "
                  "\"write_txns_per_sec\": %.1f, \"wall_ms\": %.1f}%s\n",
-                 leg.mode, leg.num_versions, leg.writers, leg.reads,
+                 Mode(leg), leg.writers, leg.reads,
                  leg.read_errors, leg.reads_per_sec, leg.updates,
                  leg.updates_per_sec, leg.wall_ms,
                  i + 1 < legs.size() ? "," : "");

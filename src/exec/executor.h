@@ -37,9 +37,9 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   /// Executes any regular statement. `txn` tags DML writes with the
-  /// surrounding transaction in MVCC mode (0 = auto-commit: each write
-  /// is stamped individually); `snapshot` resolves SELECT reads at that
-  /// timestamp (0 = current reads, the unversioned behavior). The two
+  /// surrounding transaction (0 = auto-commit: each write is stamped
+  /// individually); `snapshot` resolves SELECT reads at that timestamp
+  /// (0 = current reads: each row's newest version). The two
   /// are mutually exclusive by construction: DML carries a txn, SELECT
   /// a snapshot.
   Result<QueryResult> Execute(const Statement& stmt, TxnId txn = 0,

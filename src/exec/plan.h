@@ -20,7 +20,7 @@ struct ExecContext {
   Executor* executor = nullptr;
   /// MVCC read timestamp: every scan, index probe and predicate
   /// subquery in the tree resolves visibility at this instant. 0 =
-  /// current reads (the unversioned behavior).
+  /// current reads (each row's newest version).
   Ts snapshot = 0;
 };
 

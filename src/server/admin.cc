@@ -19,15 +19,10 @@ std::string AdminSnapshot::ToString() const {
     out += "\n";
   }
   out += "-- MVCC --\n";
-  if (!mvcc.enabled) {
-    out += "  disabled (mvcc.num_versions = 1)\n";
-  } else {
-    out += StringPrintf(
-        "  num_versions=%zu clock=%llu watermark=%llu active_snapshots=%zu\n",
-        mvcc.num_versions, static_cast<unsigned long long>(mvcc.clock),
-        static_cast<unsigned long long>(mvcc.watermark),
-        mvcc.active_snapshots);
-  }
+  out += StringPrintf("  clock=%llu watermark=%llu active_snapshots=%zu\n",
+                      static_cast<unsigned long long>(mvcc.clock),
+                      static_cast<unsigned long long>(mvcc.watermark),
+                      mvcc.active_snapshots);
   out += "-- Pending entangled queries --\n";
   if (pending.empty()) out += "  (none)\n";
   for (const PendingQueryInfo& p : pending) {
@@ -137,8 +132,6 @@ AdminSnapshot TakeAdminSnapshot(const Youtopia& db) {
     entry.version = info.version;
     snapshot.tables.push_back(std::move(entry));
   }
-  snapshot.mvcc.enabled = storage.mvcc_enabled();
-  snapshot.mvcc.num_versions = storage.num_versions();
   snapshot.mvcc.clock = storage.mvcc().clock();
   snapshot.mvcc.watermark = storage.mvcc().watermark();
   snapshot.mvcc.active_snapshots = storage.mvcc().active_snapshots();

@@ -12,21 +12,22 @@ namespace youtopia {
 
 namespace {
 
-/// The acquire-locks + execute stages for one regular statement, under
-/// an auto-commit transaction that holds S locks on read tables and X
-/// locks on written tables for the statement's duration. This is what
-/// makes regular queries observe coordination installs atomically
-/// (reservations appear group-at-a-time, never half a pair).
+/// The acquire-locks + execute stages for one regular statement.
 ///
-/// The cached physical plan (when the statement carries one) executes
-/// only if its table-version stamps are still current, and that check
-/// happens *after* the locks are acquired: DDL takes no 2PL locks, so
-/// a blocking lock wait can span a whole drop/recreate — a version
-/// check done before the wait could admit a plan whose column bindings
-/// no longer match the table. Checked under the locks, the stale plan
-/// degrades to the seed path (the executor re-plans right here),
-/// leaving exactly the seed's residual DDL-vs-DML exposure and nothing
-/// more.
+/// A SELECT takes no locks at all (design decision #10): it reads a
+/// snapshot opened at the current watermark, so it observes each
+/// transaction — each coordination install included — entirely or not
+/// at all. Its cached physical plan executes only if the plan's
+/// table-version stamps are still current; a stale plan degrades to
+/// re-plan-and-execute. DDL takes no 2PL locks, so this check is the
+/// only isolation a read has from concurrent DDL.
+///
+/// Every other statement runs under a transaction that holds X locks
+/// on written tables and S locks on read tables for the statement's
+/// duration; its writes are pending versions under that transaction.
+/// The statement commits only if it succeeds — a failure aborts it,
+/// discarding whatever rows it wrote before failing — so a statement
+/// is atomic both to readers (one commit timestamp) and to itself.
 ///
 /// `LockWait::kBlock` waits inside the lock manager (surfacing
 /// kTimedOut after its deadline — possible deadlock); `LockWait::kTry`
@@ -51,19 +52,9 @@ Result<QueryResult> ExecuteLocked(Executor* executor, TxnManager* txns,
                                   wal::Lsn* logged_lsn) {
   const Statement& stmt = *prepared.stmt;
   const TableRefs& refs = prepared.refs;
-  if (txns->mvcc_enabled() && stmt.kind == StatementKind::kSelect &&
-      refs.writes.empty()) {
-    // The browse path (design decision #10): a regular SELECT under
-    // MVCC takes *no locks at all* — no transaction, no S locks, no
-    // lock-manager traffic. It opens a snapshot at the current
-    // watermark and resolves every scan, index probe and subquery at
-    // that timestamp; writers stamp their versions at commit, so the
-    // snapshot observes each transaction (and each coordination
-    // install) entirely or not at all. `lock_conflict` can never fire
-    // here and SELECTs are never journaled, so neither out-parameter is
-    // touched. Plan freshness is checked without locks: the same
-    // residual DDL-vs-read exposure as the seed (DDL takes no 2PL locks
-    // either way), with a stale plan degrading to re-plan-and-execute.
+  if (stmt.kind == StatementKind::kSelect) {
+    // The browse path: no transaction, no lock-manager traffic, so
+    // `lock_conflict` can never fire; SELECTs are never journaled.
     SnapshotHandle snapshot = txns->OpenSnapshot();
     const auto& select = static_cast<const SelectStatement&>(stmt);
     return prepared.plan.has_value() && PreparedStatementFresh(prepared, catalog)
@@ -71,11 +62,9 @@ Result<QueryResult> ExecuteLocked(Executor* executor, TxnManager* txns,
                                           snapshot.ts())
                : executor->ExecuteSelect(select, snapshot.ts());
   }
-  const bool journal =
-      wal != nullptr && stmt.kind != StatementKind::kSelect;
   auto txn = txns->Begin();
 
-  if (journal && refs.writes.empty()) {
+  if (wal != nullptr && refs.writes.empty()) {
     // No write footprint + not a SELECT = DDL (CollectTableRefs reports
     // no refs for schema statements).
     QueryResult ddl_result;
@@ -117,27 +106,23 @@ Result<QueryResult> ExecuteLocked(Executor* executor, TxnManager* txns,
     Status s = acquire(table, LockMode::kShared);
     if (!s.ok()) return acquire_failed(std::move(s));
   }
-  const PlannedSelect* plan =
-      prepared.plan.has_value() && PreparedStatementFresh(prepared, catalog)
-          ? &*prepared.plan
-          : nullptr;
-  // Under MVCC the statement's writes are tagged with the surrounding
-  // lock-holding transaction: they enter storage as *pending* versions,
-  // invisible to every snapshot, and Commit below stamps them all with
-  // one timestamp — a multi-row UPDATE (or a coordination install)
+  // The statement's writes enter storage as pending versions of `txn`,
+  // invisible to every snapshot; Commit stamps them all with one
+  // timestamp, so a multi-row UPDATE (or a coordination install)
   // becomes visible to lock-free readers atomically, never row by row.
-  // Unversioned mode passes 0 and keeps the seed's in-place writes.
-  const TxnId dml_txn = txns->mvcc_enabled() ? txn->id() : 0;
-  auto result =
-      plan != nullptr
-          ? executor->ExecutePlanned(static_cast<const SelectStatement&>(stmt),
-                                     *plan)
-          : executor->Execute(stmt, dml_txn);
-  if (result.ok() && journal) {
+  auto result = executor->Execute(stmt, txn->id());
+  if (!result.ok()) {
+    // A statement can fail after writing some of its rows (a multi-row
+    // INSERT whose later row violates NOT NULL, an UPDATE that divides
+    // by zero halfway through). Abort discards those pending versions:
+    // the failed statement leaves no trace, and it is not journaled.
+    (void)txns->Abort(txn.get());
+    return result;
+  }
+  if (wal != nullptr) {
     // Append while still holding the write locks: no conflicting
     // statement can slip between this record and its effects, so log
-    // order = lock order = a valid serialization. Failed statements
-    // are not journaled (they are not acknowledged as durable either).
+    // order = lock order = a valid serialization.
     auto lsn = wal->Append(wal::WalRecord::Statement(prepared.sql));
     if (!lsn.ok()) {
       (void)txns->Commit(txn.get());
@@ -145,8 +130,6 @@ Result<QueryResult> ExecuteLocked(Executor* executor, TxnManager* txns,
     }
     *logged_lsn = *lsn;
   }
-  // The executor applied changes directly to storage; the transaction
-  // only held the locks. Commit releases them.
   (void)txns->Commit(txn.get());
   return result;
 }
@@ -163,7 +146,6 @@ bool PreparedStatementFresh(const PreparedStatement& prepared,
 
 Youtopia::Youtopia(YoutopiaConfig config)
     : config_(config),
-      storage_(config.mvcc.num_versions),
       executor_(&storage_),
       txn_manager_(&storage_),
       coordinator_(&storage_, &txn_manager_, config.coordinator),

@@ -27,26 +27,11 @@ namespace wal {
 class WalCoordinatorJournal;
 }
 
-/// Multi-version storage configuration (design decision #10).
-struct MvccConfig {
-  /// Versions retained per row, newest-first. >= 2 enables MVCC: every
-  /// regular SELECT runs lock-free against a snapshot timestamp, and
-  /// writers keep strict 2PL, stamping new versions at commit. 1 keeps
-  /// exactly one version per row — the seed's in-place 2PL semantics,
-  /// byte for byte (SELECTs lock, updates overwrite, aborts replay the
-  /// undo log). The cap is a retention *budget*, not a hard bound: a
-  /// version an open snapshot can still see is never reclaimed, so
-  /// chains may transiently exceed it while old snapshots are live.
-  size_t num_versions = 4;
-};
-
-/// Whole-system configuration.
+/// Whole-system configuration. Storage is always versioned (design
+/// decision #10): regular SELECTs read a snapshot without locks, writers
+/// keep strict 2PL and stamp their versions at commit.
 struct YoutopiaConfig {
   CoordinatorConfig coordinator;
-  /// Tuple versioning + snapshot reads (design decision #10).
-  /// num_versions = 1 degrades to the seed's single-version 2PL
-  /// behavior.
-  MvccConfig mvcc;
   /// After regular DML changes a table, automatically re-run matching
   /// for pending entangled queries whose domain predicates read it —
   /// the paper's "waits for an opportunity to retry" without manual
@@ -101,8 +86,8 @@ struct PreparedStatement {
   /// Per-table version stamps observed when planning started, one per
   /// referenced table (reads and writes; empty for statements with no
   /// table references, which never go stale). PreparedStatementFresh
-  /// compares them against the live catalog: ExecutePrepared falls back
-  /// to plan-under-locks when any stamp is stale, and the plan cache
+  /// compares them against the live catalog: ExecutePrepared re-plans
+  /// at execution when any stamp is stale, and the plan cache
   /// discards the entry. Relation-granular — DDL on an unrelated table
   /// leaves this statement's plan warm.
   std::vector<std::pair<std::string, uint64_t>> table_versions;
@@ -203,8 +188,10 @@ class Youtopia {
                                                    std::string text) const;
 
   /// Acquire-locks + execute stages for a *regular* prepared statement:
-  /// takes the footprint's table locks (per `lock_wait`), runs the
-  /// execution engine, commits, then retriggers dependent pending
+  /// a SELECT reads a snapshot without locks; any other statement takes
+  /// the footprint's table locks (per `lock_wait`), runs the execution
+  /// engine, commits on success or aborts on failure (a failed statement
+  /// leaves no partial writes), then retriggers dependent pending
   /// coordinations (when configured). When the acquire stage loses —
   /// and only then — `lock_conflict` (optional) is set true; at that
   /// point no locks are held and nothing has executed, so the

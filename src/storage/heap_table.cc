@@ -57,13 +57,8 @@ Status HeapTable::Delete(RowId rid, VersionStamp stamp) {
   if (rid >= slots_.size() || !HeadLive(slots_[rid])) {
     return Status::NotFound("no row " + std::to_string(rid) + " in " + name_);
   }
-  if (!versioned()) {
-    slots_[rid].clear();
-  } else {
-    slots_[rid].insert(
-        slots_[rid].begin(),
-        TupleVersion{Tuple(), stamp.begin_ts, stamp.writer, true});
-  }
+  slots_[rid].insert(slots_[rid].begin(),
+                     TupleVersion{Tuple(), stamp.begin_ts, stamp.writer, true});
   --live_count_;
   return Status::OK();
 }
@@ -78,10 +73,6 @@ Status HeapTable::Update(RowId rid, const Tuple& tuple, VersionStamp stamp,
     return Status::NotFound("no row " + std::to_string(rid) + " in " + name_);
   }
   VersionChain& chain = slots_[rid];
-  if (!versioned()) {
-    chain.front().tuple = validated.TakeValue();
-    return Status::OK();
-  }
   TupleVersion& head = chain.front();
   if (!Committed(head) && head.writer == stamp.writer &&
       stamp.begin_ts == kPendingTs) {
@@ -95,24 +86,6 @@ Status HeapTable::Update(RowId rid, const Tuple& tuple, VersionStamp stamp,
   chain.insert(chain.begin(),
                TupleVersion{validated.TakeValue(), stamp.begin_ts,
                             stamp.writer, false});
-  return Status::OK();
-}
-
-Status HeapTable::Restore(RowId rid, const Tuple& tuple) {
-  auto validated = tuple.ValidateAgainst(schema_);
-  if (!validated.ok()) return validated.status();
-  WriterMutexLock lock(latch_);
-  if (rid >= slots_.size()) {
-    return Status::OutOfRange("slot " + std::to_string(rid) +
-                              " was never allocated in " + name_);
-  }
-  if (!slots_[rid].empty()) {
-    return Status::AlreadyExists("slot " + std::to_string(rid) + " in " +
-                                 name_ + " is live");
-  }
-  slots_[rid].push_back(
-      TupleVersion{validated.TakeValue(), kBaseTs, 0, false});
-  ++live_count_;
   return Status::OK();
 }
 
@@ -188,10 +161,9 @@ bool HeapTable::PruneChain(VersionChain& chain, Ts low_water,
     chain.clear();
     return true;
   }
-  if (chain.size() <= num_versions_) return false;
   // Oldest version any snapshot can still need: the newest committed
   // version at or below the low-water mark. Everything strictly older
-  // is reclaimable; trim from the tail down to the num_versions cap.
+  // is unreachable; trim it from the tail.
   size_t needed = chain.size();
   for (size_t i = 0; i < chain.size(); ++i) {
     if (Committed(chain[i]) && chain[i].begin_ts <= low_water) {
@@ -199,8 +171,7 @@ bool HeapTable::PruneChain(VersionChain& chain, Ts low_water,
       break;
     }
   }
-  if (needed == chain.size()) return false;
-  while (chain.size() > num_versions_ && chain.size() - 1 > needed) {
+  while (chain.size() > needed + 1) {
     if (!chain.back().tombstone && pruned != nullptr) {
       pruned->push_back(std::move(chain.back().tuple));
     }

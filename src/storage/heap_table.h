@@ -50,31 +50,25 @@ struct VersionStamp {
 /// latch; multi-statement atomicity is layered on top by the
 /// transaction manager and the MVCC commit protocol.
 ///
-/// `num_versions == 1` (the default) is the unversioned mode: updates
-/// replace in place, deletes empty the slot, every chain holds at most
-/// one committed version — byte-for-byte the pre-MVCC semantics.
-/// `num_versions >= 2` keeps up to that many versions per slot for
-/// snapshot readers; pruning (CommitVersions / Prune) keeps more only
-/// while a live snapshot still needs them.
+/// Every write pushes a version (updates and deletes never overwrite a
+/// committed version in place). Retention is the low-water rule: pruning
+/// (CommitVersions / Prune) keeps the newest committed version at or
+/// below the GC low-water mark plus everything newer, and reclaims the
+/// rest — no live or future snapshot can read them.
 class HeapTable {
  public:
-  HeapTable(std::string name, Schema schema, size_t num_versions = 1)
-      : name_(std::move(name)),
-        schema_(std::move(schema)),
-        num_versions_(num_versions < 1 ? 1 : num_versions) {}
+  HeapTable(std::string name, Schema schema)
+      : name_(std::move(name)), schema_(std::move(schema)) {}
 
   HeapTable(const HeapTable&) = delete;
   HeapTable& operator=(const HeapTable&) = delete;
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  size_t num_versions() const { return num_versions_; }
-  /// True when snapshot readers can be served (num_versions >= 2).
-  bool versioned() const { return num_versions_ > 1; }
 
   /// Validates against the schema (coercing as needed) and appends a
-  /// new slot whose first version carries `stamp`. The default stamp is
-  /// committed-at-base, the unversioned behavior.
+  /// new slot whose first version carries `stamp` (default: committed
+  /// at the base timestamp, visible to every snapshot).
   Result<RowId> Insert(const Tuple& tuple,
                        VersionStamp stamp = VersionStamp::Committed(kBaseTs));
 
@@ -90,26 +84,19 @@ class HeapTable {
   /// True iff `rid`'s head version is live (non-tombstone).
   bool Contains(RowId rid) const;
 
-  /// Tombstones the row; NotFound if already dead or out of range.
-  /// Unversioned mode empties the slot; versioned mode pushes a
-  /// tombstone version carrying `stamp`.
+  /// Pushes a tombstone version carrying `stamp`; NotFound if already
+  /// dead or out of range.
   Status Delete(RowId rid,
                 VersionStamp stamp = VersionStamp::Committed(kBaseTs));
 
-  /// Replaces the row (same RowId). Validates the new tuple.
-  /// Unversioned mode overwrites in place; versioned mode pushes a new
-  /// version carrying `stamp` (pruning happens at commit, not here) —
+  /// Replaces the row (same RowId). Validates the new tuple and pushes a
+  /// new version carrying `stamp` (pruning happens at commit, not here) —
   /// except when the pending head already belongs to `stamp`'s writer,
   /// which collapses in place and reports `*collapsed` = true (the only
   /// way an Update can make a previously-held index key vanish).
   Status Update(RowId rid, const Tuple& tuple,
                 VersionStamp stamp = VersionStamp::Committed(kBaseTs),
                 bool* collapsed = nullptr);
-
-  /// Resurrects a dead slot with `tuple` under its original RowId.
-  /// Used exclusively by unversioned transaction rollback to undo a
-  /// delete exactly; fails if the slot is out of range or still live.
-  Status Restore(RowId rid, const Tuple& tuple);
 
   /// Stamps every pending version `txn` wrote in slot `rid` with
   /// `commit_ts`, then prunes the chain against `low_water` (see
@@ -128,11 +115,10 @@ class HeapTable {
 
   /// Garbage collection for one slot. Reclaims the whole chain when its
   /// head is a committed tombstone at or below `low_water` (no live or
-  /// future snapshot can see the row); otherwise trims the oldest
-  /// versions down to num_versions, but only versions strictly older
-  /// than the newest committed version at or below `low_water` — a
-  /// version some live snapshot can still read is never reclaimed, so
-  /// chains may exceed num_versions while an old snapshot is open.
+  /// future snapshot can see the row); otherwise reclaims every version
+  /// strictly older than the newest committed version at or below
+  /// `low_water`. `low_water` is the oldest timestamp any live or future
+  /// snapshot can read at, so exactly the unreachable versions go.
   /// Outputs as in CommitVersions.
   Status Prune(RowId rid, Ts low_water, std::vector<Tuple>* pruned,
                bool* slot_cleared);
@@ -191,7 +177,6 @@ class HeapTable {
 
   std::string name_;
   Schema schema_;
-  const size_t num_versions_;
   /// Row-level latch, acquired under the engine's kStorageTables
   /// latch (or alone); takes nothing itself.
   mutable SharedMutex latch_{LockRank::kHeapTable, "heap_table"};

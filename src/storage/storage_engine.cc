@@ -28,6 +28,13 @@ class ScopedAutoCommit {
   Ts ts_;
 };
 
+/// The stamp a write carries: pending under `txn`, or committed at the
+/// auto-commit timestamp when `txn == 0`.
+VersionStamp Stamp(TxnId txn, const ScopedAutoCommit& auto_commit) {
+  return txn != 0 ? VersionStamp::Pending(txn)
+                  : VersionStamp::Committed(auto_commit.ts());
+}
+
 bool ContainsKey(const std::vector<Tuple>& tuples, size_t col,
                  const Value& key) {
   for (const Tuple& t : tuples) {
@@ -43,8 +50,7 @@ Status StorageEngine::CreateTable(const std::string& name, Schema schema) {
   if (!id.ok()) return id.status();
   WriterMutexLock lock(tables_mu_);
   TableData data;
-  data.heap =
-      std::make_unique<HeapTable>(name, std::move(schema), num_versions_);
+  data.heap = std::make_unique<HeapTable>(name, std::move(schema));
   tables_.emplace(ToLowerAscii(name), std::move(data));
   return Status::OK();
 }
@@ -122,16 +128,12 @@ Result<RowId> StorageEngine::Insert(const std::string& table,
   // and retire it after (kMvccClock is never held together with
   // kStorageTables); transactional writers stay pending until
   // CommitTxn.
-  ScopedAutoCommit auto_commit(mvcc_enabled() && txn == 0 ? &mvcc_ : nullptr);
+  ScopedAutoCommit auto_commit(txn == 0 ? &mvcc_ : nullptr);
   WriterMutexLock lock(tables_mu_);
   auto td = FindTable(table);
   if (!td.ok()) return td.status();
   TableData* data = td.value();
-  VersionStamp stamp = !mvcc_enabled() ? VersionStamp::Committed(kBaseTs)
-                       : txn != 0      ? VersionStamp::Pending(txn)
-                                       : VersionStamp::Committed(
-                                             auto_commit.ts());
-  auto rid = data->heap->Insert(tuple, stamp);
+  auto rid = data->heap->Insert(tuple, Stamp(txn, auto_commit));
   if (!rid.ok()) return rid.status();
   // The heap validated/coerced the tuple; index the stored form.
   auto stored = data->heap->Get(rid.value());
@@ -139,28 +141,17 @@ Result<RowId> StorageEngine::Insert(const std::string& table,
   for (auto& [col, index] : data->indexes) {
     index->Insert(stored->at(col), rid.value());
   }
-  if (mvcc_enabled() && txn != 0) RecordWrite(txn, table, rid.value());
+  if (txn != 0) RecordWrite(txn, table, rid.value());
   return rid.value();
 }
 
 Status StorageEngine::Delete(const std::string& table, RowId rid, TxnId txn) {
-  ScopedAutoCommit auto_commit(mvcc_enabled() && txn == 0 ? &mvcc_ : nullptr);
+  ScopedAutoCommit auto_commit(txn == 0 ? &mvcc_ : nullptr);
   WriterMutexLock lock(tables_mu_);
   auto td = FindTable(table);
   if (!td.ok()) return td.status();
-  TableData* data = td.value();
-  if (!mvcc_enabled()) {
-    auto old = data->heap->Get(rid);
-    if (!old.ok()) return old.status();
-    YOUTOPIA_RETURN_IF_ERROR(data->heap->Delete(rid));
-    for (auto& [col, index] : data->indexes) {
-      index->Erase(old->at(col), rid);
-    }
-    return Status::OK();
-  }
-  VersionStamp stamp = txn != 0 ? VersionStamp::Pending(txn)
-                                : VersionStamp::Committed(auto_commit.ts());
-  YOUTOPIA_RETURN_IF_ERROR(data->heap->Delete(rid, stamp));
+  YOUTOPIA_RETURN_IF_ERROR(
+      td.value()->heap->Delete(rid, Stamp(txn, auto_commit)));
   // Index keys stay: the deleted version remains visible to older
   // snapshots until the tombstone passes below the low-water mark
   // (pruning erases them then; IndexLookup filters until it does).
@@ -170,25 +161,13 @@ Status StorageEngine::Delete(const std::string& table, RowId rid, TxnId txn) {
 
 Status StorageEngine::Update(const std::string& table, RowId rid,
                              const Tuple& tuple, TxnId txn) {
-  ScopedAutoCommit auto_commit(mvcc_enabled() && txn == 0 ? &mvcc_ : nullptr);
+  ScopedAutoCommit auto_commit(txn == 0 ? &mvcc_ : nullptr);
   WriterMutexLock lock(tables_mu_);
   auto td = FindTable(table);
   if (!td.ok()) return td.status();
   TableData* data = td.value();
   auto old = data->heap->Get(rid);
   if (!old.ok()) return old.status();
-  if (!mvcc_enabled()) {
-    YOUTOPIA_RETURN_IF_ERROR(data->heap->Update(rid, tuple));
-    auto stored = data->heap->Get(rid);
-    if (!stored.ok()) return stored.status();
-    for (auto& [col, index] : data->indexes) {
-      index->Erase(old->at(col), rid);
-      index->Insert(stored->at(col), rid);
-    }
-    return Status::OK();
-  }
-  VersionStamp stamp = txn != 0 ? VersionStamp::Pending(txn)
-                                : VersionStamp::Committed(auto_commit.ts());
   // Version-aware index maintenance: a key reachable through any
   // retained version must stay indexed; keys no version holds anymore
   // must go. An Update can only (a) push a new head — so only the new
@@ -199,7 +178,8 @@ Status StorageEngine::Update(const std::string& table, RowId rid,
   // materialized twice per row; this runs under the tables latch, and
   // shortening it is what keeps snapshot readers flowing past writers.
   bool collapsed = false;
-  YOUTOPIA_RETURN_IF_ERROR(data->heap->Update(rid, tuple, stamp, &collapsed));
+  YOUTOPIA_RETURN_IF_ERROR(
+      data->heap->Update(rid, tuple, Stamp(txn, auto_commit), &collapsed));
   if (!data->indexes.empty()) {
     auto stored = data->heap->Get(rid);
     if (!stored.ok()) return stored.status();
@@ -222,23 +202,8 @@ Status StorageEngine::Update(const std::string& table, RowId rid,
   return Status::OK();
 }
 
-Status StorageEngine::Restore(const std::string& table, RowId rid,
-                              const Tuple& tuple) {
-  WriterMutexLock lock(tables_mu_);
-  auto td = FindTable(table);
-  if (!td.ok()) return td.status();
-  TableData* data = td.value();
-  YOUTOPIA_RETURN_IF_ERROR(data->heap->Restore(rid, tuple));
-  auto stored = data->heap->Get(rid);
-  if (!stored.ok()) return stored.status();
-  for (auto& [col, index] : data->indexes) {
-    index->Insert(stored->at(col), rid);
-  }
-  return Status::OK();
-}
-
 Status StorageEngine::CommitTxn(TxnId txn) {
-  if (!mvcc_enabled() || txn == 0) return Status::OK();
+  if (txn == 0) return Status::OK();
   {
     ReaderMutexLock lock(tables_mu_);
     if (txn_writes_.count(txn) == 0) return Status::OK();
@@ -274,7 +239,7 @@ Status StorageEngine::CommitTxn(TxnId txn) {
 }
 
 Status StorageEngine::AbortTxn(TxnId txn) {
-  if (!mvcc_enabled() || txn == 0) return Status::OK();
+  if (txn == 0) return Status::OK();
   WriterMutexLock lock(tables_mu_);
   auto it = txn_writes_.find(txn);
   if (it == txn_writes_.end()) return Status::OK();
@@ -339,10 +304,9 @@ Result<std::vector<RowId>> StorageEngine::IndexLookup(
     return Status::NotFound("no index on " + table + "." + column);
   }
   auto rids = it->second->Lookup(key);
-  if (!mvcc_enabled()) return rids;
-  // Versioned indexes keep postings for every retained version's key;
-  // re-verify against the current row so callers get exactly the
-  // unversioned contract ("rows whose column equals key now").
+  // The index keeps postings for every retained version's key; re-verify
+  // against the current row so callers get "rows whose column equals
+  // key now".
   std::vector<RowId> current;
   current.reserve(rids.size());
   for (RowId rid : rids) {
@@ -426,7 +390,6 @@ Status StorageEngine::LoadTableSnapshot(
 }
 
 void StorageEngine::Vacuum() {
-  if (!mvcc_enabled()) return;
   const Ts low_water = mvcc_.LowWater();
   WriterMutexLock lock(tables_mu_);
   for (auto& [name, data] : tables_) {

@@ -21,28 +21,21 @@ namespace youtopia {
 /// This is the "regular database tables" substrate the Youtopia
 /// coordination component reads and writes (paper §2.2).
 ///
-/// With `num_versions >= 2` the engine runs in MVCC mode (design
-/// decision #10): heaps keep version chains, writes carry the writing
-/// transaction id (0 = auto-commit, stamped immediately), CommitTxn /
-/// AbortTxn stamp or discard a transaction's pending versions, and the
-/// snapshot read family (GetSnapshot / ScanSnapshot /
-/// IndexLookupSnapshot) resolves visibility at a timestamp without any
-/// 2PL lock. `num_versions == 1` (the default) is byte-for-byte the
-/// pre-MVCC engine: single-version heaps, eager index maintenance, the
-/// transaction id arguments ignored.
+/// Storage is versioned (design decision #10): heaps keep version
+/// chains, writes carry the writing transaction id (0 = auto-commit,
+/// stamped immediately), CommitTxn / AbortTxn stamp or discard a
+/// transaction's pending versions, and the snapshot read family
+/// (GetSnapshot / ScanSnapshot / IndexLookupSnapshot) resolves
+/// visibility at a timestamp without any 2PL lock.
 class StorageEngine {
  public:
-  explicit StorageEngine(size_t num_versions = 1)
-      : num_versions_(num_versions < 1 ? 1 : num_versions) {}
+  StorageEngine() = default;
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
 
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }
 
-  /// Versions retained per row (1 = unversioned seed semantics).
-  size_t num_versions() const { return num_versions_; }
-  bool mvcc_enabled() const { return num_versions_ > 1; }
   MvccController& mvcc() { return mvcc_; }
   const MvccController& mvcc() const { return mvcc_; }
 
@@ -55,49 +48,45 @@ class StorageEngine {
   /// Builds a hash index over `column` of `table`, backfilling from
   /// current rows (older versions' keys are not backfilled — a snapshot
   /// opened before the index existed can still be planned onto it and
-  /// miss rows whose key changed since; the same DDL-vs-reader exposure
-  /// the unversioned engine has always had).
+  /// miss rows whose key changed since — DDL takes no 2PL locks, so
+  /// readers were never isolated from it).
   Status CreateIndex(const std::string& table, const std::string& column);
 
-  /// Validated insert, maintaining all indexes on the table. In MVCC
-  /// mode `txn != 0` leaves the version pending until CommitTxn;
-  /// `txn == 0` stamps it with a fresh commit timestamp immediately.
+  /// Validated insert, maintaining all indexes on the table. `txn != 0`
+  /// leaves the version pending until CommitTxn; `txn == 0` stamps it
+  /// with a fresh commit timestamp immediately.
   Result<RowId> Insert(const std::string& table, const Tuple& tuple,
                        TxnId txn = 0);
 
-  /// Deletes by rid. Unversioned mode erases index entries eagerly; in
-  /// MVCC mode the old version (and its index keys) survive until the
-  /// tombstone passes below the GC low-water mark.
+  /// Deletes by rid: pushes a tombstone. The old version (and its index
+  /// keys) survive until the tombstone passes below the GC low-water
+  /// mark.
   Status Delete(const std::string& table, RowId rid, TxnId txn = 0);
 
-  /// Update. Unversioned mode rewrites in place; MVCC mode pushes a new
-  /// version. Index keys of still-reachable old versions are kept (a
+  /// Update: pushes a new version. Index keys of still-reachable old versions are kept (a
   /// snapshot reader probing the old key must still find the row);
   /// IndexLookup re-verifies, so current reads never see them.
   Status Update(const std::string& table, RowId rid, const Tuple& tuple,
                 TxnId txn = 0);
 
-  /// Resurrects a deleted row under its original RowId (unversioned
-  /// transaction rollback only), maintaining indexes.
-  Status Restore(const std::string& table, RowId rid, const Tuple& tuple);
-
   /// Stamps every pending version `txn` wrote with one fresh commit
   /// timestamp (atomic for snapshot readers via the watermark
   /// protocol), prunes the touched chains against the GC low-water mark
-  /// and retires orphaned index keys. No-op outside MVCC mode or for
-  /// transactions that wrote nothing.
+  /// and retires orphaned index keys. No-op for transactions that wrote
+  /// nothing.
   Status CommitTxn(TxnId txn);
 
   /// Discards every pending version `txn` wrote, restoring the chains
-  /// (and indexes) to their pre-transaction state. The MVCC replacement
-  /// for undo-log rollback. No-op outside MVCC mode.
+  /// (and indexes) to their pre-transaction state — RowIds included: an
+  /// aborted delete simply drops its tombstone. This is the only
+  /// rollback path.
   Status AbortTxn(TxnId txn);
 
   /// Head-version read (current read; pending versions included — 2PL
   /// keeps them writer-private).
   Result<Tuple> Get(const std::string& table, RowId rid) const;
 
-  /// Version of `rid` visible at `snapshot_ts` (MVCC snapshot read).
+  /// Version of `rid` visible at `snapshot_ts` (snapshot read).
   Result<Tuple> GetSnapshot(const std::string& table, RowId rid,
                             Ts snapshot_ts) const;
 
@@ -110,9 +99,9 @@ class StorageEngine {
       const std::string& table, Ts snapshot_ts) const;
 
   /// Row ids whose `column` currently equals `key`, via the hash index.
-  /// NotFound if no such index exists. In MVCC mode stale postings
-  /// (older versions' keys not yet pruned) are filtered out here, so
-  /// callers keep the exact unversioned contract.
+  /// NotFound if no such index exists. Stale postings (older versions'
+  /// keys not yet pruned) are filtered out here, so callers see exactly
+  /// "rows whose column equals key now".
   Result<std::vector<RowId>> IndexLookup(const std::string& table,
                                          const std::string& column,
                                          const Value& key) const;
@@ -145,7 +134,7 @@ class StorageEngine {
   /// current low-water mark and reclaims slots whose committed
   /// tombstone no snapshot can see (commit-time pruning only revisits
   /// rows the committing transaction touched, so fully dead slots and
-  /// long-idle chains are reclaimed here). No-op outside MVCC mode.
+  /// long-idle chains are reclaimed here).
   void Vacuum();
 
  private:
@@ -167,13 +156,12 @@ class StorageEngine {
                                 const std::vector<Tuple>& candidates,
                                 const std::vector<Tuple>& remaining);
 
-  /// Records (table, rid) into `txn`'s write set (MVCC mode).
+  /// Records (table, rid) into `txn`'s write set.
   void RecordWrite(TxnId txn, const std::string& table, RowId rid)
       REQUIRES(tables_mu_);
 
-  const size_t num_versions_;
   Catalog catalog_;
-  /// Commit clock + snapshot registry (MVCC mode). Its internal mutex
+  /// Commit clock + snapshot registry. Its internal mutex
   /// (kMvccClock) is only ever held alone; commit stamping calls it
   /// strictly before and strictly after the tables_mu_ critical
   /// section.
@@ -188,7 +176,7 @@ class StorageEngine {
   mutable SharedMutex tables_mu_{LockRank::kStorageTables,
                                  "storage_tables"};
   std::unordered_map<std::string, TableData> tables_ GUARDED_BY(tables_mu_);
-  /// Pending write sets by transaction (MVCC mode): the (table, rid)
+  /// Pending write sets by transaction: the (table, rid)
   /// pairs CommitTxn must stamp or AbortTxn must discard. Guarded by
   /// tables_mu_ — every writer already holds it exclusive.
   std::unordered_map<TxnId, std::vector<std::pair<std::string, RowId>>>

@@ -11,7 +11,7 @@ namespace youtopia {
 
 /// Commit timestamp. Timestamps are issued by one MvccController per
 /// engine; 0 is "no snapshot" (current reads) and versions loaded from
-/// a checkpoint or created in unversioned mode carry kBaseTs.
+/// a checkpoint carry kBaseTs.
 using Ts = uint64_t;
 
 /// Transaction id (same alias as txn/lock_manager.h; redeclared here so
@@ -43,9 +43,10 @@ inline constexpr Ts kBaseTs = 1;
 /// watermark until every row is stamped.
 ///
 /// LowWater() is the GC bound: the oldest timestamp any live snapshot
-/// (or any snapshot opened from now on) can read at. Pruning keeps the
-/// newest version at or below it plus everything newer, so GC never
-/// reclaims a version a live snapshot can see.
+/// (or any snapshot opened from now on) can read at. Pruning keeps
+/// exactly the newest committed version at or below it plus everything
+/// newer: GC never reclaims a version a live snapshot can see, and
+/// every version it keeps is one some snapshot could still read.
 class MvccController {
  public:
   MvccController() = default;

@@ -12,16 +12,6 @@ namespace youtopia {
 
 enum class TxnState { kActive, kCommitted, kAborted };
 
-/// One undo-log record. On abort the records are replayed in reverse.
-struct UndoEntry {
-  enum class Kind { kInsert, kDelete, kUpdate };
-  Kind kind;
-  std::string table;
-  RowId rid = 0;
-  /// Pre-image for kDelete/kUpdate (empty for kInsert).
-  Tuple old_tuple;
-};
-
 /// One redo-log record: the after-image of a write made through the
 /// TxnManager, in storage's stored (validated/coerced) form. The WAL
 /// journals these for coordinator install transactions, whose writes
@@ -36,9 +26,11 @@ struct RedoEntry {
   Tuple tuple;
 };
 
-/// Book-keeping for one transaction: id, state, and the undo log.
+/// Book-keeping for one transaction: id, state, and the redo log.
 /// Transactions are created and driven by TxnManager; this struct holds
-/// no locks itself (the LockManager tracks holders by TxnId).
+/// no locks itself (the LockManager tracks holders by TxnId), and no
+/// rollback state — the storage engine keeps the transaction's pending
+/// versions, which abort discards.
 class Transaction {
  public:
   explicit Transaction(TxnId id) : id_(id) {}
@@ -50,18 +42,13 @@ class Transaction {
   TxnState state() const { return state_; }
   void set_state(TxnState s) { state_ = s; }
 
-  void RecordInsert(const std::string& table, RowId rid);
-  void RecordDelete(const std::string& table, RowId rid, Tuple old_tuple);
-  void RecordUpdate(const std::string& table, RowId rid, Tuple old_tuple);
   void RecordRedo(RedoEntry entry) { redo_log_.push_back(std::move(entry)); }
 
-  const std::vector<UndoEntry>& undo_log() const { return undo_log_; }
   const std::vector<RedoEntry>& redo_log() const { return redo_log_; }
 
  private:
   TxnId id_;
   TxnState state_ = TxnState::kActive;
-  std::vector<UndoEntry> undo_log_;
   std::vector<RedoEntry> redo_log_;
 };
 

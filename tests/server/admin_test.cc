@@ -84,5 +84,25 @@ TEST(AdminTest, EmptySystemSnapshot) {
   EXPECT_NE(snapshot.ToString().find("(none)"), std::string::npos);
 }
 
+TEST(AdminTest, SnapshotReportsMvccClockAndSnapshots) {
+  Youtopia db;
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (x INT);"
+                               "INSERT INTO t VALUES (1);"
+                               "UPDATE t SET x = 2;")
+                  .ok());
+  SnapshotHandle open_snapshot = db.txn_manager().OpenSnapshot();
+  auto snapshot = TakeAdminSnapshot(db);
+  // Each committed statement drew a timestamp; the watermark caught up.
+  EXPECT_GE(snapshot.mvcc.clock, kBaseTs + 2);
+  EXPECT_EQ(snapshot.mvcc.watermark, snapshot.mvcc.clock);
+  EXPECT_EQ(snapshot.mvcc.active_snapshots, 1u);
+  const std::string rendered = snapshot.ToString();
+  const std::string expected =
+      "-- MVCC --\n  clock=" + std::to_string(snapshot.mvcc.clock) +
+      " watermark=" + std::to_string(snapshot.mvcc.watermark) +
+      " active_snapshots=1\n";
+  EXPECT_NE(rendered.find(expected), std::string::npos) << rendered;
+}
+
 }  // namespace
 }  // namespace youtopia

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "travel/travel_schema.h"
 
 namespace youtopia {
@@ -67,6 +71,47 @@ TEST(YoutopiaTest, ExecuteScriptParseErrorRunsNothing) {
       "THIS IS NOT SQL;");
   EXPECT_FALSE(status.ok());
   EXPECT_FALSE(db.storage().catalog().HasTable("a"));
+}
+
+std::vector<int64_t> SortedColumn(Youtopia& db, const std::string& sql) {
+  auto rows = db.Execute(sql);
+  EXPECT_TRUE(rows.ok()) << sql << " -> " << rows.status();
+  std::vector<int64_t> out;
+  if (!rows.ok()) return out;
+  for (const Tuple& t : rows->rows) out.push_back(t.at(0).int64_value());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(YoutopiaTest, FailedMultiRowInsertLeavesNoRows) {
+  Youtopia db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT NOT NULL, b TEXT)").ok());
+  // The first row is valid and gets written; the second violates NOT
+  // NULL. The statement fails as a whole, so the first row must go too.
+  auto result = db.Execute("INSERT INTO t VALUES (1, 'x'), (NULL, 'y')");
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(SortedColumn(db, "SELECT a FROM t").empty());
+  EXPECT_EQ(db.storage().TableSize("t").value(), 0u);
+}
+
+TEST(YoutopiaTest, FailedMultiRowUpdateLeavesEveryRowUnchanged) {
+  Youtopia db;
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INT NOT NULL);"
+                               "INSERT INTO t VALUES (1), (2);")
+                  .ok());
+  // Row a=1 is rewritten to 10 / -1 = -10 before row a=2 divides by
+  // zero; the failed statement must not keep that first write.
+  auto result = db.Execute("UPDATE t SET a = 10 / (a - 2)");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().ToString().find("division by zero"),
+            std::string::npos);
+  EXPECT_EQ(SortedColumn(db, "SELECT a FROM t"),
+            (std::vector<int64_t>{1, 2}));
+  // The table's locks were released: the next statement commits.
+  ASSERT_TRUE(db.Execute("UPDATE t SET a = a + 10").ok());
+  EXPECT_EQ(SortedColumn(db, "SELECT a FROM t"),
+            (std::vector<int64_t>{11, 12}));
 }
 
 TEST(YoutopiaTest, PrepareRoutesAndExecutesStaged) {

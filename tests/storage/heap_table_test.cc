@@ -53,17 +53,51 @@ TEST(HeapTableTest, DeleteTombstones) {
   EXPECT_TRUE(table.Delete(rid).ok());
   EXPECT_EQ(table.size(), 0u);
   EXPECT_FALSE(table.Contains(rid));
+  // The delete pushed a tombstone over the row; the deleted version
+  // stays in the chain until pruning reclaims it.
+  EXPECT_EQ(table.VersionCount(rid), 2u);
+  EXPECT_EQ(table.VersionTuples(rid).size(), 1u);
   EXPECT_EQ(table.Delete(rid).code(), StatusCode::kNotFound);
   EXPECT_EQ(table.Delete(999).code(), StatusCode::kNotFound);
 }
 
-TEST(HeapTableTest, UpdateInPlace) {
+TEST(HeapTableTest, UpdatePushesNewVersion) {
   HeapTable table("t", TestSchema());
   RowId rid = table.Insert(Row(1, "a")).value();
   ASSERT_TRUE(table.Update(rid, Row(1, "z")).ok());
   EXPECT_EQ(table.Get(rid)->at(1).string_value(), "z");
+  // The old image is kept behind the new head, same RowId.
+  ASSERT_EQ(table.VersionCount(rid), 2u);
+  EXPECT_EQ(table.VersionTuples(rid)[1].at(1).string_value(), "a");
+  EXPECT_EQ(table.size(), 1u);
   EXPECT_FALSE(table.Update(rid, Tuple({Value::Int64(1)})).ok());
   EXPECT_EQ(table.Update(999, Row(1, "x")).code(), StatusCode::kNotFound);
+}
+
+TEST(HeapTableTest, AbortVersionsRestoresTheCommittedChain) {
+  HeapTable table("t", TestSchema());
+  RowId rid = table.Insert(Row(1, "a")).value();
+  constexpr TxnId kWriter = 7;
+  ASSERT_TRUE(table.Delete(rid, VersionStamp::Pending(kWriter)).ok());
+  EXPECT_FALSE(table.Contains(rid));
+  bool cleared = true;
+  ASSERT_TRUE(table.AbortVersions(rid, kWriter, nullptr, &cleared).ok());
+  // An aborted delete drops its tombstone: the row is back under its
+  // original RowId with its original content.
+  EXPECT_FALSE(cleared);
+  EXPECT_EQ(table.Get(rid)->at(1).string_value(), "a");
+  EXPECT_EQ(table.VersionCount(rid), 1u);
+  EXPECT_EQ(table.size(), 1u);
+
+  // An aborted insert empties its slot; the RowId is not reused.
+  auto pending = table.Insert(Row(2, "b"), VersionStamp::Pending(kWriter));
+  ASSERT_TRUE(pending.ok());
+  ASSERT_TRUE(
+      table.AbortVersions(pending.value(), kWriter, nullptr, &cleared).ok());
+  EXPECT_TRUE(cleared);
+  EXPECT_FALSE(table.Contains(pending.value()));
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_GT(table.Insert(Row(3, "c")).value(), pending.value());
 }
 
 TEST(HeapTableTest, ScanReturnsLiveRowsInRidOrder) {

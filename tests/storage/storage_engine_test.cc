@@ -95,6 +95,39 @@ TEST_F(StorageEngineTest, IndexMaintainedOnDeleteAndUpdate) {
       engine_.IndexLookup("Flights", "dest", Value::String("Rome"))->empty());
 }
 
+TEST_F(StorageEngineTest, AbortTxnRestoresRowsAndIndexUnderTheirRowIds) {
+  ASSERT_TRUE(engine_.CreateIndex("Flights", "dest").ok());
+  auto kept = engine_.Insert("Flights", Flight(122, "Paris"));
+  auto moved = engine_.Insert("Flights", Flight(136, "Rome"));
+  ASSERT_TRUE(kept.ok() && moved.ok());
+
+  constexpr TxnId kTxn = 42;
+  ASSERT_TRUE(engine_.Delete("Flights", kept.value(), kTxn).ok());
+  ASSERT_TRUE(
+      engine_.Update("Flights", moved.value(), Flight(136, "Oslo"), kTxn)
+          .ok());
+  auto added = engine_.Insert("Flights", Flight(200, "Oslo"), kTxn);
+  ASSERT_TRUE(added.ok());
+  // The writer's own current reads see its pending versions.
+  EXPECT_EQ(engine_.TableSize("Flights").value(), 2u);
+  EXPECT_EQ(
+      engine_.IndexLookup("Flights", "dest", Value::String("Oslo"))->size(),
+      2u);
+
+  ASSERT_TRUE(engine_.AbortTxn(kTxn).ok());
+  EXPECT_EQ(engine_.TableSize("Flights").value(), 2u);
+  EXPECT_EQ(engine_.Get("Flights", kept.value())->at(1).string_value(),
+            "Paris");
+  EXPECT_EQ(engine_.Get("Flights", moved.value())->at(1).string_value(),
+            "Rome");
+  EXPECT_FALSE(engine_.Get("Flights", added.value()).ok());
+  EXPECT_TRUE(
+      engine_.IndexLookup("Flights", "dest", Value::String("Oslo"))->empty());
+  EXPECT_EQ(
+      engine_.IndexLookup("Flights", "dest", Value::String("Paris"))->size(),
+      1u);
+}
+
 TEST_F(StorageEngineTest, DuplicateIndexFails) {
   ASSERT_TRUE(engine_.CreateIndex("Flights", "dest").ok());
   EXPECT_EQ(engine_.CreateIndex("Flights", "dest").code(),

@@ -1,13 +1,14 @@
 // Snapshot-visibility edge cases for the MVCC subsystem (design
 // decision #10): the watermark protocol that keeps multi-row commits
-// atomic to lock-free readers, version-chain truncation at the
-// num_versions budget, and the GC low-water mark that pins every
-// version a live snapshot can still see. The threaded cases run under
+// atomic to lock-free readers, and version-chain retention by the GC
+// low-water mark: every version a live snapshot can still see is kept,
+// every version none can see is reclaimed. The threaded cases run under
 // ThreadSanitizer in CI.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -63,9 +64,6 @@ TEST(MvccControllerTest, LowWaterTracksOldestActiveSnapshot) {
 
 class MvccVisibilityTest : public ::testing::Test {
  protected:
-  // num_versions = 4: MVCC on, with a small retention budget.
-  MvccVisibilityTest() : storage_(4) {}
-
   void SetUp() override {
     ASSERT_TRUE(storage_.CreateTable("T", TestSchema()).ok());
   }
@@ -119,8 +117,8 @@ TEST_F(MvccVisibilityTest, GcNeverReclaimsWhatALiveSnapshotSees) {
   ASSERT_TRUE(rid.ok());
   SnapshotHandle old_snap(&storage_.mvcc());
 
-  // Push the chain well past the num_versions = 4 budget while the old
-  // snapshot is open: the budget must yield to visibility.
+  // Eight commits while the old snapshot is open: the version it reads
+  // must survive every one of them.
   for (int64_t i = 1; i <= 8; ++i) {
     const TxnId txn = 100 + static_cast<TxnId>(i);
     ASSERT_TRUE(storage_.Update("T", rid.value(), Row(1, i), txn).ok());
@@ -130,8 +128,8 @@ TEST_F(MvccVisibilityTest, GcNeverReclaimsWhatALiveSnapshotSees) {
   ASSERT_TRUE(seen.ok());
   EXPECT_EQ(seen->at(1).int64_value(), 0);
 
-  // After the snapshot closes, vacuum trims the chain back to the
-  // budget — the original version is reclaimable now.
+  // After the snapshot closes, vacuum trims the chain to the newest
+  // version — the original version is reclaimable now.
   const Ts released_ts = old_snap.ts();
   old_snap.Release();
   storage_.Vacuum();
@@ -189,33 +187,78 @@ TEST_F(MvccVisibilityTest, IndexLookupSnapshotResolvesAtTheSnapshot) {
 
 // ----------------------------------------------------------- truncation
 
-TEST(MvccTruncationTest, ChainTrimsToNumVersionsWithNoSnapshotsOpen) {
-  HeapTable table("t", TestSchema(), /*num_versions=*/3);
-  auto rid = table.Insert(Row(1, 0));
+TEST(MvccTruncationTest, RetentionFollowsTheLowWaterMark) {
+  StorageEngine storage;
+  ASSERT_TRUE(storage.CreateTable("T", TestSchema()).ok());
+  auto rid = storage.Insert("T", Row(1, 0));
   ASSERT_TRUE(rid.ok());
-  // Commit pattern mirrors the engine: each commit i computes its
-  // low-water mark as the previous watermark (no snapshots open).
-  for (int64_t i = 1; i <= 7; ++i) {
-    const TxnId txn = 40 + static_cast<TxnId>(i);
-    const Ts commit_ts = kBaseTs + static_cast<Ts>(i);
-    ASSERT_TRUE(
-        table.Update(rid.value(), Row(1, i), VersionStamp::Pending(txn)).ok());
-    ASSERT_TRUE(table
-                    .CommitVersions(rid.value(), txn, commit_ts,
-                                    /*low_water=*/commit_ts - 1,
-                                    /*pruned=*/nullptr,
-                                    /*slot_cleared=*/nullptr)
-                    .ok());
-    EXPECT_LE(table.VersionCount(rid.value()), 3u);
+  TxnId next_txn = 40;
+  auto commit_update = [&](int64_t v) {
+    const TxnId txn = ++next_txn;
+    ASSERT_TRUE(storage.Update("T", rid.value(), Row(1, v), txn).ok());
+    ASSERT_TRUE(storage.CommitTxn(txn).ok());
+  };
+  // Versions still in the chain, counted from the outside: every update
+  // writes a distinct value and commits at its own timestamp, so each
+  // retained version is what exactly one band of timestamps resolves
+  // to, and a reclaimed one is what no timestamp resolves to anymore.
+  auto retained = [&] {
+    std::set<int64_t> seen;
+    for (Ts ts = kBaseTs; ts <= storage.mvcc().clock(); ++ts) {
+      auto row = storage.GetSnapshot("T", rid.value(), ts);
+      if (row.ok()) seen.insert(row->at(1).int64_value());
+    }
+    return seen.size();
+  };
+
+  // No snapshot open. While a commit stamps, the low-water mark sits at
+  // the previous commit, so pruning keeps the new head plus the version
+  // below it: at most 2 versions per chain.
+  for (int64_t v = 1; v <= 8; ++v) {
+    commit_update(v);
+    EXPECT_LE(retained(), 2u) << "after update " << v;
   }
-  // The newest versions survive, oldest first to go.
-  EXPECT_EQ(table.Get(rid.value())->at(1).int64_value(), 7);
-  EXPECT_TRUE(table.GetVisible(rid.value(), kBaseTs + 6).ok());
-  EXPECT_FALSE(table.GetVisible(rid.value(), kBaseTs + 3).ok());
+  // Once nothing is in flight, the head alone is reachable.
+  storage.Vacuum();
+  EXPECT_EQ(retained(), 1u);
+
+  // An open snapshot pins its version: it stays readable across every
+  // later commit, and so does everything newer than it.
+  SnapshotHandle snap(&storage.mvcc());
+  const Ts pinned = snap.ts();
+  for (int64_t v = 9; v <= 12; ++v) {
+    commit_update(v);
+    auto row = storage.GetSnapshot("T", rid.value(), pinned);
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->at(1).int64_value(), 8);
+  }
+  EXPECT_EQ(retained(), 5u);  // 8 (pinned) and 9..12
+  // Closing the snapshot frees the pinned version; the next commit
+  // reclaims it.
+  snap.Release();
+  commit_update(13);
+  EXPECT_FALSE(storage.GetSnapshot("T", rid.value(), pinned).ok());
+  EXPECT_EQ(retained(), 2u);
+
+  // Vacuum reclaims a released snapshot's version too, without waiting
+  // for another commit.
+  SnapshotHandle second(&storage.mvcc());
+  const Ts second_ts = second.ts();
+  commit_update(14);
+  commit_update(15);
+  ASSERT_EQ(storage.GetSnapshot("T", rid.value(), second_ts)
+                ->at(1)
+                .int64_value(),
+            13);
+  second.Release();
+  storage.Vacuum();
+  EXPECT_FALSE(storage.GetSnapshot("T", rid.value(), second_ts).ok());
+  EXPECT_EQ(retained(), 1u);
+  EXPECT_EQ(storage.Get("T", rid.value())->at(1).int64_value(), 15);
 }
 
 TEST(MvccTruncationTest, IntraTxnRewritesCollapseToOnePendingVersion) {
-  HeapTable table("t", TestSchema(), /*num_versions=*/4);
+  HeapTable table("t", TestSchema());
   auto rid = table.Insert(Row(1, 0));
   ASSERT_TRUE(rid.ok());
   constexpr TxnId kWriter = 6;
@@ -240,7 +283,7 @@ TEST(MvccConcurrencyTest, ReadersNeverObserveATornMultiRowCommit) {
   // A writer updates two rows inside each transaction; concurrent
   // lock-free readers must see both rows move together — the watermark
   // protocol in action, mid-commit snapshots included. Run under TSan.
-  StorageEngine storage(8);
+  StorageEngine storage;
   ASSERT_TRUE(storage.CreateTable("T", TestSchema()).ok());
   auto rid_a = storage.Insert("T", Row(1, 0));
   auto rid_b = storage.Insert("T", Row(2, 0));
@@ -275,7 +318,7 @@ TEST(MvccConcurrencyTest, ReadersNeverObserveATornMultiRowCommit) {
 }
 
 TEST(MvccConcurrencyTest, VacuumRacesReadersWithoutReclaimingLiveVersions) {
-  StorageEngine storage(2);
+  StorageEngine storage;
   ASSERT_TRUE(storage.CreateTable("T", TestSchema()).ok());
   auto rid = storage.Insert("T", Row(1, 0));
   ASSERT_TRUE(rid.ok());

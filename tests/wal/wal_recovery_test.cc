@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -250,17 +251,37 @@ TEST(WalRecoveryTest, RecoveredStateMatchesLiveStateExactly) {
       "INSERT INTO b VALUES (10, 'ten'), (20, 'twenty');"
       "DELETE FROM a WHERE x = 2;"
       "UPDATE b SET note = 'TEN' WHERE y = 10;";
+  // Multi-row statements that fail after writing some rows (a NOT NULL
+  // violation on a later VALUES row, a division by zero on a later
+  // UPDATE row). They are not journaled, so they must leave no trace in
+  // the live state either — or live and recovered state diverge.
+  const char* kFailing[] = {
+      "INSERT INTO a VALUES (4), (NULL)",
+      "UPDATE a SET x = 10 / (x - 3)",
+      "INSERT INTO b VALUES (30, 'thirty'), (40, NULL)",
+  };
+  const char* kQueries[] = {"SELECT x FROM a",
+                            "SELECT y FROM b WHERE note = 'TEN'",
+                            "SELECT y FROM b"};
   Youtopia reference;  // wal off
   ASSERT_TRUE(reference.ExecuteScript(kScript).ok());
+  for (const char* sql : kFailing) {
+    EXPECT_FALSE(reference.Execute(sql).ok()) << sql;
+  }
+  std::vector<std::vector<int64_t>> live;
   {
     Youtopia db(WalConfigFor(dir));
     ASSERT_TRUE(db.ExecuteScript(kScript).ok());
+    for (const char* sql : kFailing) {
+      EXPECT_FALSE(db.Execute(sql).ok()) << sql;
+    }
+    for (const char* sql : kQueries) live.push_back(ColumnInts(&db, sql));
   }
   Youtopia recovered(WalConfigFor(dir));
   ASSERT_TRUE(recovered.recovery_status().ok());
-  for (const std::string sql :
-       {"SELECT x FROM a", "SELECT y FROM b WHERE note = 'TEN'",
-        "SELECT y FROM b"}) {
+  for (size_t i = 0; i < std::size(kQueries); ++i) {
+    const std::string sql = kQueries[i];
+    EXPECT_EQ(ColumnInts(&recovered, sql), live[i]) << sql;
     EXPECT_EQ(ColumnInts(&recovered, sql), ColumnInts(&reference, sql))
         << sql;
   }
