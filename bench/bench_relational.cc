@@ -4,6 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "exec/executor.h"
 #include "sql/parser.h"
 #include "storage/storage_engine.h"
@@ -135,6 +139,46 @@ void BM_TwoTableJoin(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.range(0)));
 }
 BENCHMARK(BM_TwoTableJoin)->Arg(100)->Arg(400)
+    ->Unit(benchmark::kMicrosecond);
+
+// Keyed UPDATE, `... WHERE fno = <key>`: with an index on fno the
+// statement probes its one row, so its cost stays flat as the table
+// grows; without the index it scans every row (linear). Auto-commit
+// writes prune the row's chain, so repeated updates stay comparable.
+void UpdateByKey(benchmark::State& state, bool with_index) {
+  const int rows = static_cast<int>(state.range(0));
+  auto engine = MakeEngine(rows, /*with_index=*/false);
+  if (with_index && !engine->CreateIndex("Flights", "fno").ok()) {
+    std::abort();
+  }
+  Executor executor(engine.get());
+  std::vector<std::unique_ptr<Statement>> stmts;
+  for (int k = 0; k < 64; ++k) {
+    auto stmt = Parser::ParseStatement(
+        "UPDATE Flights SET price = price + 1 WHERE fno = " +
+        std::to_string(static_cast<int64_t>(k) * rows / 64));
+    if (!stmt.ok()) std::abort();
+    stmts.push_back(stmt.TakeValue());
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    auto result = executor.Execute(*stmts[i++ % stmts.size()]);
+    if (!result.ok() || result->affected_rows != 1) std::abort();
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["rows"] = benchmark::Counter(static_cast<double>(rows));
+}
+
+void BM_UpdateByIndexedKey(benchmark::State& state) {
+  UpdateByKey(state, /*with_index=*/true);
+}
+BENCHMARK(BM_UpdateByIndexedKey)->Arg(1000)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_UpdateByUnindexedKey(benchmark::State& state) {
+  UpdateByKey(state, /*with_index=*/false);
+}
+BENCHMARK(BM_UpdateByUnindexedKey)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -186,6 +186,23 @@ Result<QueryResult> Executor::ExecuteInsert(const InsertStatement& stmt,
   return result;
 }
 
+Result<std::vector<std::pair<RowId, Tuple>>> Executor::CandidateRows(
+    const std::string& table, const Schema& schema, const Expr* where) {
+  auto probe = ChooseIndexProbe(*storage_, table, table, schema, where);
+  if (!probe.has_value()) return storage_->Scan(table);
+  auto rids = storage_->IndexLookup(table, probe->column, probe->key);
+  if (!rids.ok()) return rids.status();
+  // Rid order, as a scan writes.
+  std::sort(rids->begin(), rids->end());
+  std::vector<std::pair<RowId, Tuple>> rows;
+  rows.reserve(rids->size());
+  for (RowId rid : *rids) {
+    auto tuple = storage_->Get(table, rid);
+    if (tuple.ok()) rows.emplace_back(rid, tuple.TakeValue());
+  }
+  return rows;
+}
+
 Result<QueryResult> Executor::ExecuteDelete(const DeleteStatement& stmt,
                                             TxnId txn) {
   auto info = storage_->catalog().GetTable(stmt.table);
@@ -194,7 +211,7 @@ Result<QueryResult> Executor::ExecuteDelete(const DeleteStatement& stmt,
   columns.AddSource(stmt.table, info->schema, 0);
   ExpressionEvaluator eval(&columns, this);
 
-  auto rows = storage_->Scan(stmt.table);
+  auto rows = CandidateRows(stmt.table, info->schema, stmt.where.get());
   if (!rows.ok()) return rows.status();
   QueryResult result;
   for (const auto& [rid, tuple] : *rows) {
@@ -228,7 +245,7 @@ Result<QueryResult> Executor::ExecuteUpdate(const UpdateStatement& stmt,
     targets.push_back(idx.value());
   }
 
-  auto rows = storage_->Scan(stmt.table);
+  auto rows = CandidateRows(stmt.table, info->schema, stmt.where.get());
   if (!rows.ok()) return rows.status();
   QueryResult result;
   for (const auto& [rid, tuple] : *rows) {

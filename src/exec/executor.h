@@ -2,6 +2,7 @@
 #define YOUTOPIA_EXEC_EXECUTOR_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -89,6 +90,14 @@ class Executor {
   Result<QueryResult> ExecuteInsert(const InsertStatement& stmt, TxnId txn);
   Result<QueryResult> ExecuteDelete(const DeleteStatement& stmt, TxnId txn);
   Result<QueryResult> ExecuteUpdate(const UpdateStatement& stmt, TxnId txn);
+
+  /// The rows an UPDATE or DELETE tests against `where`: the candidates
+  /// of ChooseIndexProbe's probe when it finds one, else every row. The
+  /// caller re-evaluates the full WHERE on each. Materialized before any
+  /// write, so an UPDATE of the probed column never meets a row it has
+  /// already moved (Halloween-safe).
+  Result<std::vector<std::pair<RowId, Tuple>>> CandidateRows(
+      const std::string& table, const Schema& schema, const Expr* where);
 
   StorageEngine* storage_;
   Planner planner_;

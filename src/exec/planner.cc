@@ -24,17 +24,13 @@ std::vector<const Expr*> SplitConjuncts(const Expr* predicate) {
 
 namespace {
 
-/// Matches `col = <constant literal>` (either side) against the given
-/// scope; returns (column name, key) if the column belongs to `table_ref`
-/// and is indexed.
-struct IndexableConjunct {
-  std::string column;
-  Value key;
-};
-
-std::optional<IndexableConjunct> MatchIndexable(
-    const Expr* conjunct, const SelectStatement::TableRef& ref,
-    const Schema& schema, const StorageEngine* storage) {
+/// Matches `col = <literal>` (either side) against `scope` and returns
+/// the probe when the column is indexed and the literal probes exactly.
+std::optional<IndexProbe> MatchIndexable(const StorageEngine& storage,
+                                         const std::string& table,
+                                         const std::string& scope,
+                                         const Schema& schema,
+                                         const Expr* conjunct) {
   if (conjunct->kind != ExprKind::kBinary) return std::nullopt;
   const auto& b = As<BinaryExpr>(*conjunct);
   if (b.op != BinaryOp::kEq) return std::nullopt;
@@ -54,13 +50,25 @@ std::optional<IndexableConjunct> MatchIndexable(
   }
 
   const auto& col = As<ColumnRefExpr>(*col_side);
-  const std::string scope = ref.alias.empty() ? ref.table : ref.alias;
   if (!col.qualifier.empty() && !EqualsIgnoreCase(col.qualifier, scope)) {
     return std::nullopt;
   }
-  if (!schema.FindColumn(col.column).has_value()) return std::nullopt;
-  if (!storage->HasIndex(ref.table, col.column)) return std::nullopt;
-  return IndexableConjunct{col.column, As<LiteralExpr>(*lit_side).value};
+  auto idx = schema.FindColumn(col.column);
+  if (!idx.has_value()) return std::nullopt;
+  // The index holds stored values and hashes by exact type, while `=`
+  // compares numerically and rejects mixed types; probe only where the
+  // two agree.
+  const Value& literal = As<LiteralExpr>(*lit_side).value;
+  const DataType col_type = schema.column(*idx).type;
+  if (literal.is_null()) return std::nullopt;
+  if (literal.type() != col_type &&
+      !(literal.type() == DataType::kInt64 && col_type == DataType::kDouble)) {
+    return std::nullopt;
+  }
+  if (!storage.HasIndex(table, col.column)) return std::nullopt;
+  auto key = literal.CoerceTo(col_type);
+  if (!key.ok()) return std::nullopt;
+  return IndexProbe{col.column, key.TakeValue(), conjunct};
 }
 
 /// Matches an equi-join conjunct `x.col = y.col` where one side resolves
@@ -95,6 +103,18 @@ std::optional<JoinKeys> MatchEquiJoin(const Expr* conjunct,
 
 }  // namespace
 
+std::optional<IndexProbe> ChooseIndexProbe(const StorageEngine& storage,
+                                           const std::string& table,
+                                           const std::string& scope,
+                                           const Schema& schema,
+                                           const Expr* where) {
+  for (const Expr* c : SplitConjuncts(where)) {
+    auto probe = MatchIndexable(storage, table, scope, schema, c);
+    if (probe.has_value()) return probe;
+  }
+  return std::nullopt;
+}
+
 Result<PlannedSelect> Planner::PlanSelect(const SelectStatement& stmt) const {
   if (stmt.IsEntangled()) {
     return Status::InvalidArgument(
@@ -121,7 +141,7 @@ Result<PlannedSelect> Planner::PlanSelect(const SelectStatement& stmt) const {
   std::unique_ptr<PlanNode> root;
   size_t base = 0;
   const auto conjuncts = SplitConjuncts(stmt.where.get());
-  // Tracks which conjunct was absorbed into an index scan.
+  // The conjunct an index probe answers, if any.
   const Expr* absorbed = nullptr;
 
   for (size_t t = 0; t < stmt.from.size(); ++t) {
@@ -136,15 +156,13 @@ Result<PlannedSelect> Planner::PlanSelect(const SelectStatement& stmt) const {
     incoming.AddSource(scope, info->schema, 0);
 
     std::unique_ptr<PlanNode> scan;
-    if (stmt.from.size() == 1 && absorbed == nullptr) {
-      for (const Expr* c : conjuncts) {
-        auto m = MatchIndexable(c, ref, info->schema, storage_);
-        if (m.has_value()) {
-          scan = std::make_unique<IndexScanNode>(ref.table, m->column,
-                                                 m->key);
-          absorbed = c;
-          break;
-        }
+    if (stmt.from.size() == 1) {
+      auto probe = ChooseIndexProbe(*storage_, ref.table, scope, info->schema,
+                                    stmt.where.get());
+      if (probe.has_value()) {
+        scan = std::make_unique<IndexScanNode>(ref.table, probe->column,
+                                               std::move(probe->key));
+        absorbed = probe->conjunct;
       }
     }
     if (!scan) scan = std::make_unique<SeqScanNode>(ref.table);
@@ -173,12 +191,10 @@ Result<PlannedSelect> Planner::PlanSelect(const SelectStatement& stmt) const {
     base += info->schema.num_columns();
   }
 
-  // Residual filter: everything except the absorbed conjunct. We filter
-  // with the full predicate unless the absorbed conjunct was the whole
-  // WHERE clause (re-checking it would be correct but wasted work only
-  // when it is the sole conjunct).
-  if (stmt.where != nullptr &&
-      !(absorbed != nullptr && conjuncts.size() == 1)) {
+  // Residual filter: the full predicate (re-checking the absorbed
+  // conjunct is correct), unless the index probe answers the whole
+  // WHERE clause exactly.
+  if (stmt.where != nullptr && absorbed != stmt.where.get()) {
     root = std::make_unique<FilterNode>(std::move(root), stmt.where.get(),
                                         planned.columns.get());
   }

@@ -93,6 +93,15 @@ void StorageEngine::EraseOrphanedKeys(TableData* data, RowId rid,
   }
 }
 
+void StorageEngine::PruneSlot(TableData* data, RowId rid, Ts low_water) {
+  std::vector<Tuple> pruned;
+  if (!data->heap->Prune(rid, low_water, &pruned, nullptr).ok() ||
+      pruned.empty()) {
+    return;
+  }
+  EraseOrphanedKeys(data, rid, pruned, data->heap->VersionTuples(rid));
+}
+
 void StorageEngine::RecordWrite(TxnId txn, const std::string& table,
                                 RowId rid) {
   txn_writes_[txn].emplace_back(ToLowerAscii(table), rid);
@@ -147,6 +156,7 @@ Result<RowId> StorageEngine::Insert(const std::string& table,
 
 Status StorageEngine::Delete(const std::string& table, RowId rid, TxnId txn) {
   ScopedAutoCommit auto_commit(txn == 0 ? &mvcc_ : nullptr);
+  const Ts low_water = txn == 0 ? mvcc_.LowWater() : 0;
   WriterMutexLock lock(tables_mu_);
   auto td = FindTable(table);
   if (!td.ok()) return td.status();
@@ -155,13 +165,18 @@ Status StorageEngine::Delete(const std::string& table, RowId rid, TxnId txn) {
   // Index keys stay: the deleted version remains visible to older
   // snapshots until the tombstone passes below the low-water mark
   // (pruning erases them then; IndexLookup filters until it does).
-  if (txn != 0) RecordWrite(txn, table, rid);
+  if (txn != 0) {
+    RecordWrite(txn, table, rid);
+  } else {
+    PruneSlot(td.value(), rid, low_water);
+  }
   return Status::OK();
 }
 
 Status StorageEngine::Update(const std::string& table, RowId rid,
                              const Tuple& tuple, TxnId txn) {
   ScopedAutoCommit auto_commit(txn == 0 ? &mvcc_ : nullptr);
+  const Ts low_water = txn == 0 ? mvcc_.LowWater() : 0;
   WriterMutexLock lock(tables_mu_);
   auto td = FindTable(table);
   if (!td.ok()) return td.status();
@@ -198,7 +213,11 @@ Status StorageEngine::Update(const std::string& table, RowId rid,
       }
     }
   }
-  if (txn != 0) RecordWrite(txn, table, rid);
+  if (txn != 0) {
+    RecordWrite(txn, table, rid);
+  } else {
+    PruneSlot(data, rid, low_water);
+  }
   return Status::OK();
 }
 
@@ -359,6 +378,14 @@ bool StorageEngine::HasIndex(const std::string& table,
   return td.value()->indexes.count(*col) > 0;
 }
 
+Result<size_t> StorageEngine::VersionCount(const std::string& table,
+                                           RowId rid) const {
+  ReaderMutexLock lock(tables_mu_);
+  auto td = FindTable(table);
+  if (!td.ok()) return td.status();
+  return td.value()->heap->VersionCount(rid);
+}
+
 Result<size_t> StorageEngine::TableSize(const std::string& table) const {
   ReaderMutexLock lock(tables_mu_);
   auto td = FindTable(table);
@@ -394,11 +421,7 @@ void StorageEngine::Vacuum() {
   WriterMutexLock lock(tables_mu_);
   for (auto& [name, data] : tables_) {
     const size_t slots = data.heap->slot_count();
-    for (RowId rid = 0; rid < slots; ++rid) {
-      std::vector<Tuple> pruned;
-      if (!data.heap->Prune(rid, low_water, &pruned, nullptr).ok()) continue;
-      EraseOrphanedKeys(&data, rid, pruned, data.heap->VersionTuples(rid));
-    }
+    for (RowId rid = 0; rid < slots; ++rid) PruneSlot(&data, rid, low_water);
   }
 }
 

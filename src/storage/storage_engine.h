@@ -60,12 +60,16 @@ class StorageEngine {
 
   /// Deletes by rid: pushes a tombstone. The old version (and its index
   /// keys) survive until the tombstone passes below the GC low-water
-  /// mark.
+  /// mark. An auto-commit delete (`txn == 0`) prunes the slot's chain
+  /// against that mark right away, as CommitTxn does for its rows.
   Status Delete(const std::string& table, RowId rid, TxnId txn = 0);
 
   /// Update: pushes a new version. Index keys of still-reachable old versions are kept (a
   /// snapshot reader probing the old key must still find the row);
-  /// IndexLookup re-verifies, so current reads never see them.
+  /// IndexLookup re-verifies, so current reads never see them. An
+  /// auto-commit update (`txn == 0`, the WAL replay path too) prunes the
+  /// chain against the GC low-water mark, so N such updates to one row
+  /// leave a bounded chain rather than an N-long one.
   Status Update(const std::string& table, RowId rid, const Tuple& tuple,
                 TxnId txn = 0);
 
@@ -119,6 +123,10 @@ class StorageEngine {
 
   Result<size_t> TableSize(const std::string& table) const;
 
+  /// Versions retained in `rid`'s chain (0 = dead slot); GC
+  /// introspection.
+  Result<size_t> VersionCount(const std::string& table, RowId rid) const;
+
   /// Allocated heap slots of `table`, live or dead (checkpoints persist
   /// this so recovery reproduces RowId assignment).
   Result<size_t> TableSlotCount(const std::string& table) const;
@@ -155,6 +163,10 @@ class StorageEngine {
   static void EraseOrphanedKeys(TableData* data, RowId rid,
                                 const std::vector<Tuple>& candidates,
                                 const std::vector<Tuple>& remaining);
+
+  /// Prunes `rid`'s chain against `low_water` and retires the index
+  /// keys no retained version holds anymore.
+  static void PruneSlot(TableData* data, RowId rid, Ts low_water);
 
   /// Records (table, rid) into `txn`'s write set.
   void RecordWrite(TxnId txn, const std::string& table, RowId rid)

@@ -154,6 +154,44 @@ TEST_F(PlannerTest, EntangledQueryRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(PlannerTest, ChooserProbesOnlyWithExactLiterals) {
+  ASSERT_TRUE(storage_
+                  .CreateTable("Fares", Schema({{"fno", DataType::kInt64, true},
+                                                {"fare", DataType::kDouble,
+                                                 true}}))
+                  .ok());
+  ASSERT_TRUE(storage_.CreateIndex("Fares", "fno").ok());
+  ASSERT_TRUE(storage_.CreateIndex("Fares", "fare").ok());
+  const Schema schema = storage_.catalog().GetTable("Fares")->schema;
+  auto choose = [&](const std::string& where) {
+    auto stmt = ParseSelect("SELECT * FROM Fares WHERE " + where);
+    return ChooseIndexProbe(storage_, "Fares", "Fares", schema,
+                            stmt->where.get());
+  };
+  // Same type, literal on either side, qualified or not.
+  auto probe = choose("fno = 7");
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_EQ(probe->column, "fno");
+  EXPECT_EQ(probe->key, Value::Int64(7));
+  EXPECT_TRUE(choose("7 = Fares.fno").has_value());
+  // INT on DOUBLE is the one lossless coercion; the key is coerced.
+  probe = choose("fare = 2");
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_EQ(probe->key, Value::Double(2.0));
+  // Everything else stays in the filter.
+  EXPECT_FALSE(choose("fno = 7.0").has_value());
+  EXPECT_FALSE(choose("fno = NULL").has_value());
+  EXPECT_FALSE(choose("fno = 'x'").has_value());
+  EXPECT_FALSE(choose("fno < 7").has_value());
+  EXPECT_FALSE(choose("Other.fno = 7").has_value());
+  // The first exact conjunct wins; the others are residual.
+  probe = choose("fno = NULL AND fare = 2.5 AND fno = 3");
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_EQ(probe->column, "fare");
+  EXPECT_FALSE(
+      ChooseIndexProbe(storage_, "Fares", "Fares", schema, nullptr).has_value());
+}
+
 TEST(SplitConjunctsTest, SplitsNestedAnds) {
   auto stmt = Parser::ParseStatement(
       "SELECT * FROM t WHERE a = 1 AND b = 2 AND (c = 3 OR d = 4)");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 namespace youtopia {
 namespace {
@@ -146,6 +147,42 @@ TEST_F(StorageEngineTest, CatalogRecordsIndexedColumns) {
   auto info = engine_.catalog().GetTable("Flights");
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->indexed_columns, std::vector<size_t>{1});
+}
+
+// Auto-commit writes (txn 0, also the WAL replay path) prune the chain
+// they touch against the low-water mark, as CommitTxn does, so repeated
+// updates to one row keep a bounded chain — yet never reclaim a version
+// an open snapshot still reads.
+TEST_F(StorageEngineTest, AutoCommitWritesPruneAgainstTheLowWaterMark) {
+  ASSERT_TRUE(engine_.CreateIndex("Flights", "dest").ok());
+  auto rid = engine_.Insert("Flights", Flight(122, "Paris"));
+  ASSERT_TRUE(rid.ok());
+  {
+    SnapshotHandle snapshot(&engine_.mvcc());
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(engine_
+                      .Update("Flights", rid.value(),
+                              Flight(122, "Rome" + std::to_string(i)))
+                      .ok());
+    }
+    EXPECT_EQ(engine_.VersionCount("Flights", rid.value()).value(), 9u);
+    auto old = engine_.IndexLookupSnapshot("Flights", "dest",
+                                           Value::String("Paris"),
+                                           snapshot.ts());
+    ASSERT_TRUE(old.ok());
+    EXPECT_EQ(old->size(), 1u);
+  }
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(engine_
+                    .Update("Flights", rid.value(),
+                            Flight(122, "Oslo" + std::to_string(i)))
+                    .ok());
+    EXPECT_LE(engine_.VersionCount("Flights", rid.value()).value(), 2u);
+  }
+  ASSERT_TRUE(engine_.Delete("Flights", rid.value()).ok());
+  EXPECT_LE(engine_.VersionCount("Flights", rid.value()).value(), 2u);
+  EXPECT_TRUE(
+      engine_.IndexLookup("Flights", "dest", Value::String("Oslo63"))->empty());
 }
 
 }  // namespace

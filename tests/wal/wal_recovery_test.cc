@@ -287,6 +287,32 @@ TEST(WalRecoveryTest, RecoveredStateMatchesLiveStateExactly) {
   }
 }
 
+// Replay writes with auto-commit (txn 0); those writes prune the chain
+// they touch, so N replayed updates to one row leave a short chain
+// rather than an N-long one (which made replay quadratic).
+TEST(WalRecoveryTest, ReplayedUpdatesToOneRowKeepAShortChain) {
+  const std::string dir = FreshDir("one_row_chain");
+  constexpr int kUpdates = 4096;
+  {
+    Youtopia db(WalConfigFor(dir));
+    ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (k INT NOT NULL, n INT);"
+                                 "CREATE INDEX ON t (k);"
+                                 "INSERT INTO t VALUES (1, 0);")
+                    .ok());
+    for (int i = 0; i < kUpdates; ++i) {
+      ASSERT_TRUE(db.Execute("UPDATE t SET n = n + 1 WHERE k = 1").ok());
+    }
+  }
+  Youtopia recovered(WalConfigFor(dir));
+  ASSERT_TRUE(recovered.recovery_status().ok())
+      << recovered.recovery_status().ToString();
+  EXPECT_EQ(ColumnInts(&recovered, "SELECT n FROM t"),
+            (std::vector<int64_t>{kUpdates}));
+  auto versions = recovered.storage().VersionCount("t", 0);
+  ASSERT_TRUE(versions.ok());
+  EXPECT_LE(versions.value(), 2u);
+}
+
 // Regression: the travel dataset must be seeded through the logged
 // statement path. An earlier generator wrote rows straight into the
 // StorageEngine — invisible to the WAL — so a kill before the first
